@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race ci chaos chaos-full scenarios bench bench-nn bench-pipeline bench-obs bench-serving bench-json figures
+.PHONY: build test test-race fuzz ci chaos chaos-full scenarios bench bench-nn bench-pipeline bench-obs bench-serving bench-json figures
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,20 @@ test:
 # fault-injection suites.
 test-race:
 	$(GO) test -race ./internal/...
+
+# Fuzz smoke: ten seconds of each native fuzz target (go test fuzzes one
+# target per run). FuzzMulVecAdd64 is the differential check of the f64
+# matvec kernels against the rolled loop, bit for bit; the others cover
+# the syslog octet-count framing, the interned tokenizer, and the f32 and
+# int8 kernels' error bounds. A failing input lands in the package's
+# testdata/fuzz/ and replays in every later `go test`.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test ./internal/mat/ -run XXX -fuzz '^FuzzMulVecAdd64$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/mat/ -run XXX -fuzz '^FuzzMulVecAdd32$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/mat/ -run XXX -fuzz '^FuzzQuantI8$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/ingest/ -run XXX -fuzz '^FuzzReadOctetLen$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/sigtree/ -run XXX -fuzz '^FuzzScannerEquivalence$$' -fuzztime=$(FUZZTIME)
 
 # Chaos soak (short, deterministic, race-enabled): replays the seed
 # scenario through the full stack while injecting every fault type —
@@ -42,8 +56,9 @@ scenarios:
 
 # Full gate: what a CI job runs. Vet, build, the whole test suite, the
 # race pass over the concurrent packages (which covers the shard
-# lifecycle tests), the scenario-harness library (lint + end-to-end run
-# of every shipped scenario with its assertions), the lifecycle soaks
+# lifecycle tests), the fuzz smoke, the scenario-harness library
+# (lint + end-to-end run of every shipped scenario with its
+# assertions), the lifecycle soaks
 # under -race (f64 and the
 # quantized f32 engine — the latter proves the atomic engine swap on
 # promotion is safe against concurrent scorers), the quantized-parity
@@ -61,6 +76,7 @@ ci: build
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(MAKE) test-race
+	$(MAKE) fuzz
 	$(MAKE) chaos
 	$(MAKE) scenarios
 	$(GO) test ./internal/lifecycle/ -run 'TestLifecycleSoakSmoke|TestLifecycleSoakQuantized' -race -count=1

@@ -244,8 +244,14 @@ type Monitor struct {
 	// hostCount mirrors the summed shard LRU lengths for Stats().
 	hostCount atomic.Int64
 
-	// now is stubbed by tests that need byte-identical checkpoints.
+	// now is the monitor's clock: checkpoint stamps, worker heartbeats and
+	// the watchdog's age check. Tests stub it for byte-identical
+	// checkpoints and for a watchdog they step by hand.
 	now func() time.Time
+	// wdStep, when set before Start, replaces the watchdog's ticker: each
+	// channel received runs one check and is closed once that check is
+	// done, so a test steps the watchdog deterministically.
+	wdStep chan chan struct{}
 
 	// lifeMu guards the async worker lifecycle.
 	lifeMu  sync.Mutex
@@ -487,13 +493,13 @@ func (m *Monitor) HandleMessage(msg logfmt.Message) {
 	}
 	sh := m.shards[m.shardFor(msg.Host)]
 	var sp spanInfo
+	sh.mu.Lock()
 	if tr.Sampled {
-		// On the synchronous path the queue stage is just the lock wait.
-		lockStart := time.Now()
-		sh.mu.Lock()
-		sp.queueNS = int64(time.Since(lockStart))
-	} else {
-		sh.mu.Lock()
+		// On the synchronous path the queue stage runs from accept (after
+		// any upstream decode) to the shard lock held; the next stage
+		// starts where it ends.
+		sp.lockedAt = time.Now()
+		sp.queueNS = int64(sp.lockedAt.Sub(tr.Accept)) - tr.DecodeNS
 	}
 	sh.handleLocked(msg, &sp)
 	sh.mu.Unlock()
@@ -550,7 +556,7 @@ func (m *Monitor) Start() {
 // whose replacement has not been scheduled yet.
 func (m *Monitor) spawnWorker(sh *shard, stop <-chan struct{}) {
 	gen := sh.gen.Load()
-	sh.hb.Beat()
+	sh.hb.BeatAt(m.now())
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
@@ -574,41 +580,55 @@ func (m *Monitor) spawnWorker(sh *shard, stop <-chan struct{}) {
 	}()
 }
 
-// watchdog force-restarts wedged shard workers: a shard with queued work
-// whose heartbeat has not advanced between two consecutive ticks and is
-// older than cfg.Watchdog gets a replacement worker at a bumped
-// generation. The wedged worker cannot be killed (Go has no goroutine
-// kill); it self-retires at its next loop turn, after the batch it is
-// stuck on either completes or panics. The heartbeat.skew fault point
-// shifts the watchdog's clock to test exactly this machinery.
+// watchdog force-restarts wedged shard workers. A shard's worker is kicked
+// only when all three hold at a tick: its queue has work, its heartbeat
+// count has not moved since the previous tick, and its last beat is older
+// than cfg.Watchdog on the monitor's clock. The kick spawns a replacement
+// at a bumped generation. The wedged worker cannot be killed (Go has no
+// goroutine kill); it self-retires at its next loop turn, after the batch
+// it is stuck on either completes or panics.
+//
+// The heartbeat.skew fault point shifts only the age check's clock. A
+// worker whose count keeps moving is making progress and is never kicked,
+// however stale a skewed clock makes its beat look; skew can only bring
+// forward the kick of a worker that has truly not moved for a tick.
 func (m *Monitor) watchdog(stop <-chan struct{}) {
 	defer m.wg.Done()
-	tick := time.NewTicker(m.cfg.Watchdog / 2)
-	defer tick.Stop()
-	lastBeat := make([]int64, len(m.shards))
+	var tick <-chan time.Time
+	if m.wdStep == nil {
+		t := time.NewTicker(m.cfg.Watchdog / 2)
+		defer t.Stop()
+		tick = t.C
+	}
+	lastBeat := make([]uint64, len(m.shards))
 	for {
+		var done chan struct{}
 		select {
 		case <-stop:
 			return
-		case <-tick.C:
-			now := time.Now().Add(m.fpSkew.Skew())
-			var worst time.Duration
-			for i, sh := range m.shards {
-				beat := sh.hb.Load()
-				age := sh.hb.Age(now)
-				if age > worst && beat != 0 {
-					worst = age
-				}
-				stalled := beat == lastBeat[i]
-				lastBeat[i] = beat
-				if len(sh.queue) == 0 || !stalled || age <= m.cfg.Watchdog {
-					continue
-				}
-				sh.gen.Add(1)
-				m.watchdogKicks.Inc()
-				m.spawnWorker(sh, stop)
+		case <-tick:
+		case done = <-m.wdStep:
+		}
+		now := m.now().Add(m.fpSkew.Skew())
+		var worst time.Duration
+		for i, sh := range m.shards {
+			beat := sh.hb.Count()
+			age := sh.hb.Age(now)
+			if age > worst && beat != 0 {
+				worst = age
 			}
-			m.hbAgeGauge.Set(worst.Seconds())
+			stalled := beat == lastBeat[i]
+			lastBeat[i] = beat
+			if len(sh.queue) == 0 || !stalled || age <= m.cfg.Watchdog {
+				continue
+			}
+			sh.gen.Add(1)
+			m.watchdogKicks.Inc()
+			m.spawnWorker(sh, stop)
+		}
+		m.hbAgeGauge.Set(worst.Seconds())
+		if done != nil {
+			close(done)
 		}
 	}
 }

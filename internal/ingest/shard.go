@@ -35,10 +35,11 @@ type shard struct {
 	// depth mirrors len(queue) for scraping; nil when unmetered.
 	depth *obs.Gauge
 
-	// hb is the worker's liveness stamp, beaten once per loop turn; the
-	// watchdog reads it. gen is the worker generation: the watchdog bumps
-	// it when abandoning a wedged worker, and a worker whose generation no
-	// longer matches self-retires at its next loop turn.
+	// hb is the worker's liveness stamp, beaten once per loop turn on the
+	// monitor's clock (m.now); the watchdog reads it. gen is the worker
+	// generation: the watchdog bumps it when abandoning a wedged worker,
+	// and a worker whose generation no longer matches self-retires at its
+	// next loop turn.
 	hb  resilience.Heartbeat
 	gen atomic.Uint64
 
@@ -104,20 +105,25 @@ type spanInfo struct {
 	sigtreeNS int64
 	batchNS   int64
 	scoreNS   int64
-	scoreEnd  time.Time
+	// lockedAt is when the synchronous path took the shard lock: the end
+	// of its queue stage and the start of its sigtree stage.
+	lockedAt time.Time
+	scoreEnd time.Time
 }
 
 // handleLocked ingests one message. Caller holds sh.mu. sp carries the
 // span stage clocks measured so far (never nil; zero when untraced).
+//
+// For a sampled message the stage clocks tile the span: sigtree runs from
+// sp.lockedAt to the end of learning, score from there to the end of the
+// LSTM step (host lookup and the degrade check included), and verdict from
+// there on. No work falls between two stages, and each boundary costs one
+// clock read.
 func (sh *shard) handleLocked(msg logfmt.Message, sp *spanInfo) {
 	m := sh.m
 	m.messages.Inc()
 	sampled := msg.Trace.Sampled
 	t0 := m.learnSeconds.Start()
-	var s0 time.Time
-	if sampled {
-		s0 = time.Now()
-	}
 	// m.tree is stable while sh.mu is held: SwapModel replaces it only
 	// with every shard mutex locked, so the unlocked pointer read cannot
 	// race, and prepare — which touches only the tree's lock-free symbol
@@ -135,8 +141,10 @@ func (sh *shard) handleLocked(msg logfmt.Message, sp *spanInfo) {
 		tpl = tree.LearnTokens(toks)
 		m.treeMu.Unlock()
 	}
+	var sigEnd time.Time
 	if sampled {
-		sp.sigtreeNS = int64(time.Since(s0))
+		sigEnd = time.Now()
+		sp.sigtreeNS = int64(sigEnd.Sub(sp.lockedAt))
 	}
 	m.learnSeconds.ObserveDuration(t0)
 	if m.DegradeMode() == resilience.ModeShedScoring {
@@ -149,14 +157,10 @@ func (sh *shard) handleLocked(msg logfmt.Message, sp *spanInfo) {
 	if hs == nil {
 		return // no model for this host yet
 	}
-	var p0 time.Time
-	if sampled {
-		p0 = time.Now()
-	}
 	score := hs.stream.Push(features.Event{Time: msg.Time, Template: tpl.ID})
 	if sampled {
 		sp.scoreEnd = time.Now()
-		sp.scoreNS = int64(sp.scoreEnd.Sub(p0))
+		sp.scoreNS = int64(sp.scoreEnd.Sub(sigEnd))
 	}
 	sh.afterScore(msg, tpl.ID, hs, score, sp)
 }
@@ -356,7 +360,7 @@ func (sh *shard) runOnce(stop <-chan struct{}, gen uint64) (abnormal bool) {
 		if sh.gen.Load() != gen {
 			return false // superseded by a watchdog replacement
 		}
-		sh.hb.Beat()
+		sh.hb.BeatAt(sh.m.now())
 		if err := sh.m.fpWorker.Fire(); err != nil {
 			return true // injected worker crash; no message was dequeued
 		}

@@ -1,10 +1,13 @@
 package ingest
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"nfvpredict/internal/faultinject"
+	"nfvpredict/internal/features"
 	"nfvpredict/internal/logfmt"
 	"nfvpredict/internal/resilience"
 )
@@ -100,22 +103,100 @@ func TestWatchdogKicksStuckWorker(t *testing.T) {
 	}, 10*time.Second)
 }
 
-// TestWatchdogClockSkewFault injects a skewed watchdog clock and checks a
-// healthy-but-idle-looking worker is kicked — the chaos drill for the
-// watchdog machinery itself — and that the kick is harmless.
+// TestWatchdogClockSkewFault is the chaos drill for the watchdog itself,
+// stepped by hand on a frozen clock so no sleep races the scheduler. It
+// pins the kick rule (DESIGN.md §13): a stalled worker younger than the
+// deadline is left alone; a skewed clock alone never kicks a worker whose
+// heartbeat keeps advancing; skew does bring forward the kick of a worker
+// that has not moved for a tick; and the kick is harmless — every message
+// is still scored once.
 func TestWatchdogClockSkewFault(t *testing.T) {
-	mon, faults := superviseMonitor(t, 1, 50*time.Millisecond)
+	tree, det := trainMonitorDetector(t)
+	faults := faultinject.NewRegistry()
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var gateOpen atomic.Bool
+	cfg := DefaultMonitorConfig()
+	cfg.Threshold = 4
+	cfg.Shards = 1
+	cfg.MaxBatch = 1 // one message per worker loop turn
+	cfg.Watchdog = time.Minute
+	cfg.Faults = faults
+	// The gate wedges the worker inside its batch until the test lets it
+	// go: a worker that cannot beat, on demand. Closing release frees
+	// every worker for good, including on a failed assertion.
+	cfg.OnScored = func(string, int, features.Event, float64, bool, bool) {
+		if !gateOpen.Load() {
+			select {
+			case entered <- struct{}{}:
+			case <-release:
+			}
+			<-release
+		}
+	}
+	openGate := sync.OnceFunc(func() {
+		gateOpen.Store(true)
+		close(release)
+	})
+	mon := NewMonitor(cfg, tree, det, nil)
+	frozen := time.Date(2018, 5, 1, 0, 0, 0, 0, time.UTC)
+	mon.now = func() time.Time { return frozen }
+	mon.wdStep = make(chan chan struct{})
+	step := func() {
+		done := make(chan struct{})
+		mon.wdStep <- done
+		<-done
+	}
+	kicks := func(want uint64, when string) {
+		t.Helper()
+		if got := mon.Stats().WatchdogKicks; got != want {
+			t.Fatalf("%s: %d watchdog kicks, want %d", when, got, want)
+		}
+	}
+
+	const n = 8
+	for i := 0; i < n; i++ {
+		if !mon.Enqueue(superviseMsg("vpe01", "bgp keepalive exchanged with peer 10.0.0.1 hold 90", frozen.Add(time.Duration(i)*time.Second))) {
+			t.Fatal("queue refused a message")
+		}
+	}
 	mon.Start()
 	defer mon.Stop()
+	defer openGate()
+	<-entered // the worker is wedged in message 1, the queue still holds work
+
+	step()
+	step()
+	kicks(0, "stalled but younger than the deadline")
+
 	if err := faults.Arm("heartbeat.skew", faultinject.Arming{Mode: faultinject.ModeSkew, Skew: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
-	// Keep the queue non-empty so the skewed age check applies.
-	feedUntil(t, mon, func() bool { return mon.Stats().WatchdogKicks >= 1 }, 10*time.Second)
+	release <- struct{}{} // message 1 done: the worker beats and wedges in message 2
+	<-entered
+	step()
+	kicks(0, "skewed clock, advancing heartbeat")
+
+	step()
+	kicks(1, "skewed clock, stalled heartbeat")
+
+	// Let both the wedged worker and its replacement run freely: the
+	// abandoned one finishes message 2 and retires, the replacement drains.
 	faults.Disarm("heartbeat.skew")
-	// The monitor still consumes after the spurious kick.
-	before := mon.Stats().Messages
-	feedUntil(t, mon, func() bool { return mon.Stats().Messages > before+8 }, 10*time.Second)
+	openGate()
+	deadline := time.After(10 * time.Second)
+	for mon.Stats().Messages < n || len(mon.shards[0].queue) > 0 {
+		select {
+		case <-deadline:
+			t.Fatalf("queue not drained after the kick; stats %+v", mon.Stats())
+		case <-time.After(time.Millisecond):
+		}
+	}
+	mon.Stop()
+	if st := mon.Stats(); st.Messages != n || st.ShardPanics != 0 {
+		t.Fatalf("after the kick: %+v, want %d messages and no panics", st, n)
+	}
+	kicks(1, "after drain")
 }
 
 // TestShedScoringMode pins the shed-scoring contract: messages are counted

@@ -6,16 +6,64 @@ import (
 	"testing"
 )
 
-// naiveMulVecAdd is the reference rolled kernel the unrolled fast paths
-// must reproduce bit for bit.
+// naiveMulVecAdd is the reference rolled kernel the blocked fast paths
+// must reproduce bit for bit. The explicit float64 conversion rounds each
+// product before the add, as the kernels do, so no platform may fuse the
+// pair into an FMA on one side only.
 func naiveMulVecAdd(m *Matrix, dst, v Vector) {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var s float64
 		for j, x := range row {
-			s += x * v[j]
+			s += float64(x * v[j])
 		}
 		dst[i] += s
+	}
+}
+
+// checkRolledBits runs MulVecAdd and MulMatAdd at lanes lanes over
+// rows×cols weights and requires every output element to equal the rolled
+// reference bit for bit.
+func checkRolledBits(t *testing.T, rng *rand.Rand, rows, cols, lanes int, fill func(*rand.Rand) float64) {
+	t.Helper()
+	mk := func(r, c int) *Matrix {
+		m := NewMatrix(r, c)
+		for i := range m.Data {
+			m.Data[i] = fill(rng)
+		}
+		return m
+	}
+	w, x, dst := mk(rows, cols), mk(lanes, cols), mk(lanes, rows) // nonzero dst: the += must also agree
+	want := dst.Clone()
+	for b := 0; b < lanes; b++ {
+		naiveMulVecAdd(w, want.Row(b), x.Row(b))
+	}
+	single := dst.Clone()
+	for b := 0; b < lanes; b++ {
+		w.MulVecAdd(single.Row(b), x.Row(b))
+	}
+	batch := dst.Clone()
+	w.MulMatAdd(batch, x)
+	for k, wv := range want.Data {
+		bits := math.Float64bits(wv)
+		if math.Float64bits(single.Data[k]) != bits || math.Float64bits(batch.Data[k]) != bits {
+			t.Fatalf("%dx%d B=%d: lane %d row %d: MulVecAdd %v, MulMatAdd %v, rolled %v",
+				rows, cols, lanes, k/rows, k%rows, single.Data[k], batch.Data[k], wv)
+		}
+	}
+}
+
+// TestKernelsBitIdenticalToRolledLoop is the f64 kernel contract: one
+// sequential accumulator per output element, so blocking across rows and
+// lanes may not move a bit. Shapes cover row counts that are not a multiple
+// of the row block (130, 7, 5), the serving projections (128×81, 128×32,
+// 80×32), and every lane count 1..9 around the 4-lane block.
+func TestKernelsBitIdenticalToRolledLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, sh := range [][2]int{{130, 33}, {7, 5}, {5, 7}, {128, 32}, {80, 32}, {128, 81}, {1, 1}, {3, 9}, {4, 4}} {
+		for lanes := 1; lanes <= 9; lanes++ {
+			checkRolledBits(t, rng, sh[0], sh[1], lanes, (*rand.Rand).NormFloat64)
+		}
 	}
 }
 
@@ -35,10 +83,10 @@ func randVector(rng *rand.Rand, n int) Vector {
 	return v
 }
 
-// TestMulVecAddUnrollBitIdentical exercises every tail length of the
-// 4x-unrolled loop (cols 1..9 plus larger shapes) against the rolled
-// reference. Bit identity, not tolerance: the unroll must not change the
-// summation order.
+// TestMulVecAddUnrollBitIdentical checks column counts 1..9 plus larger
+// shapes at 17 rows (four 4-row blocks and one leftover row) against the
+// rolled reference. Bit identity, not tolerance: blocking must not change
+// any element's summation order.
 func TestMulVecAddUnrollBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, cols := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 33, 128} {
@@ -131,13 +179,22 @@ func TestMulMatAddShapePanics(t *testing.T) {
 	}
 }
 
-// BenchmarkMulVecAdd measures the unrolled single-lane kernel at the
-// serving model's gate shape (4H×In with H=32, vocab 80 + gap).
-func BenchmarkMulVecAdd(b *testing.B) {
+// BenchmarkMulVecAdd measures the single-lane kernel at the bottom layer's
+// input projection (4H×In with H=32, vocab 80 + gap).
+func BenchmarkMulVecAdd(b *testing.B) { benchMulVecAdd(b, 128, 81) }
+
+// BenchmarkMulVecAdd128x32 is the recurrent and upper-layer projection of
+// the serving model (4H×H, H=32).
+func BenchmarkMulVecAdd128x32(b *testing.B) { benchMulVecAdd(b, 128, 32) }
+
+// BenchmarkMulVecAdd80x32 is the serving model's output layer (vocab×H).
+func BenchmarkMulVecAdd80x32(b *testing.B) { benchMulVecAdd(b, 80, 32) }
+
+func benchMulVecAdd(b *testing.B, rows, cols int) {
 	rng := rand.New(rand.NewSource(1))
-	m := randMatrix(rng, 128, 81)
-	v := randVector(rng, 81)
-	dst := NewVector(128)
+	m := randMatrix(rng, rows, cols)
+	v := randVector(rng, cols)
+	dst := NewVector(rows)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.MulVecAdd(dst, v)
@@ -147,11 +204,19 @@ func BenchmarkMulVecAdd(b *testing.B) {
 // BenchmarkMulMatAdd8 measures the batched kernel at 8 lanes against the
 // same weights; compare ns/op per lane with BenchmarkMulVecAdd to see the
 // cache win of reusing each weight row across the batch.
-func BenchmarkMulMatAdd8(b *testing.B) {
+func BenchmarkMulMatAdd8(b *testing.B) { benchMulMatAdd(b, 128, 81, 8) }
+
+// BenchmarkMulMatAdd1..3 are the lane counts serving waves actually carry
+// (about 1.4 lanes per model call), at the recurrent projection shape.
+func BenchmarkMulMatAdd1(b *testing.B) { benchMulMatAdd(b, 128, 32, 1) }
+func BenchmarkMulMatAdd2(b *testing.B) { benchMulMatAdd(b, 128, 32, 2) }
+func BenchmarkMulMatAdd3(b *testing.B) { benchMulMatAdd(b, 128, 32, 3) }
+
+func benchMulMatAdd(b *testing.B, rows, cols, lanes int) {
 	rng := rand.New(rand.NewSource(1))
-	m := randMatrix(rng, 128, 81)
-	x := randMatrix(rng, 8, 81)
-	dst := NewMatrix(8, 128)
+	m := randMatrix(rng, rows, cols)
+	x := randMatrix(rng, lanes, cols)
+	dst := NewMatrix(lanes, rows)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.MulMatAdd(dst, x)

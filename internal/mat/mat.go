@@ -308,36 +308,52 @@ func (m *Matrix) MulVec(v Vector) Vector {
 // MulVecAdd sets dst = dst + m·v without allocating. dst's length must equal
 // m.Rows; v's length must equal m.Cols.
 //
-// The inner loop is 4x-unrolled with a single accumulator and strictly
-// sequential adds, so the summation order — and therefore every result
-// bit — is identical to the plain rolled loop; the unroll only amortizes
-// loop and bounds-check overhead.
+// Every output element keeps one accumulator that sums j strictly in
+// order, so each result bit is identical to the plain rolled loop. The
+// kernel blocks across output rows instead: four rows advance together
+// with four independent accumulators, so the CPU overlaps four FP-add
+// dependency chains rather than waiting out one per row.
 func (m *Matrix) MulVecAdd(dst, v Vector) {
 	mustSameLen(m.Cols, len(v), "Matrix.MulVecAdd input")
 	mustSameLen(m.Rows, len(dst), "Matrix.MulVecAdd output")
-	n := m.Cols
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*n : i*n+n]
-		dst[i] += dotUnrolled(row, v, n)
-	}
+	mulVecAddRows(dst, m.Data, v)
 }
 
-// dotUnrolled is the shared 4x-unrolled dot product of the matvec kernels.
-// One accumulator, sequential adds: bit-identical to the naive loop for
-// every n, including the tail.
-func dotUnrolled(row []float64, v Vector, n int) float64 {
-	var s float64
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		s += row[j] * v[j]
-		s += row[j+1] * v[j+1]
-		s += row[j+2] * v[j+2]
-		s += row[j+3] * v[j+3]
+// mulVecAddRows is MulVecAdd over a row-major weight slice w with
+// len(dst) rows of len(v) columns. Rows go four at a time, then the 0–3
+// leftover rows one at a time. Slicing each row as w[i*n:][:n] proves
+// j < len(row) for every j in range v, so the inner loops carry no bounds
+// checks. Each product is rounded before its add (float64(a*b)): that
+// forbids FMA fusion, which Go permits on some platforms, so every element
+// rounds identically everywhere.
+func mulVecAddRows(dst Vector, w []float64, v Vector) {
+	n := len(v)
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		r0 := w[i*n:][:n]
+		r1 := w[(i+1)*n:][:n]
+		r2 := w[(i+2)*n:][:n]
+		r3 := w[(i+3)*n:][:n]
+		var s0, s1, s2, s3 float64
+		for j, x := range v {
+			s0 += float64(r0[j] * x)
+			s1 += float64(r1[j] * x)
+			s2 += float64(r2[j] * x)
+			s3 += float64(r3[j] * x)
+		}
+		dst[i] += s0
+		dst[i+1] += s1
+		dst[i+2] += s2
+		dst[i+3] += s3
 	}
-	for ; j < n; j++ {
-		s += row[j] * v[j]
+	for ; i < len(dst); i++ {
+		row := w[i*n:][:n]
+		var s float64
+		for j, x := range v {
+			s += float64(row[j] * x)
+		}
+		dst[i] += s
 	}
-	return s
 }
 
 // MulMatAdd sets dst[b][i] += Σ_j m[i][j]·x[b][j] for every lane b — the
@@ -345,40 +361,41 @@ func dotUnrolled(row []float64, v Vector, n int) float64 {
 // against the same weight matrix in one call. dst is [B×Rows], x is
 // [B×Cols].
 //
-// Iteration is blocked weight-row-major with 4-lane register blocking:
-// each weight row m[i] streams through the cache once per batch (instead of
-// once per lane), and within the row each element is loaded once and fed to
-// four lanes' accumulators. Each lane keeps its own accumulator and sums j
-// strictly sequentially — exactly MulVecAdd's order — so the batched result
-// is bit-identical to B separate MulVecAdd calls.
+// Lanes go in blocks of four, iterated weight-row-major: each weight row
+// streams through the cache once per block, and each of its elements is
+// loaded once and fed to four lanes' accumulators. The 1–3 leftover lanes
+// (what most serving waves carry) each take MulVecAdd's row-blocked path.
+// Either way every output element keeps its own accumulator and sums j
+// strictly in order, so the batched result is bit-identical to B separate
+// MulVecAdd calls.
 func (m *Matrix) MulMatAdd(dst, x *Matrix) {
 	mustSameLen(m.Cols, x.Cols, "Matrix.MulMatAdd input cols")
 	mustSameLen(m.Rows, dst.Cols, "Matrix.MulMatAdd output cols")
 	mustSameLen(x.Rows, dst.Rows, "Matrix.MulMatAdd lanes")
 	n, B, oc := m.Cols, x.Rows, dst.Cols
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*n : i*n+n]
-		b := 0
-		for ; b+4 <= B; b += 4 {
-			x0 := x.Data[b*n : b*n+n]
-			x1 := x.Data[(b+1)*n : (b+1)*n+n]
-			x2 := x.Data[(b+2)*n : (b+2)*n+n]
-			x3 := x.Data[(b+3)*n : (b+3)*n+n]
+	b := 0
+	for ; b+4 <= B; b += 4 {
+		x0 := x.Data[b*n:][:n]
+		x1 := x.Data[(b+1)*n:][:n]
+		x2 := x.Data[(b+2)*n:][:n]
+		x3 := x.Data[(b+3)*n:][:n]
+		for i := 0; i < m.Rows; i++ {
+			row := m.Data[i*n:][:n]
 			var s0, s1, s2, s3 float64
 			for j, r := range row {
-				s0 += r * x0[j]
-				s1 += r * x1[j]
-				s2 += r * x2[j]
-				s3 += r * x3[j]
+				s0 += float64(r * x0[j])
+				s1 += float64(r * x1[j])
+				s2 += float64(r * x2[j])
+				s3 += float64(r * x3[j])
 			}
 			dst.Data[b*oc+i] += s0
 			dst.Data[(b+1)*oc+i] += s1
 			dst.Data[(b+2)*oc+i] += s2
 			dst.Data[(b+3)*oc+i] += s3
 		}
-		for ; b < B; b++ {
-			dst.Data[b*oc+i] += dotUnrolled(row, Vector(x.Data[b*n:b*n+n]), n)
-		}
+	}
+	for ; b < B; b++ {
+		mulVecAddRows(dst.Data[b*oc:][:oc], m.Data, x.Data[b*n:][:n])
 	}
 }
 

@@ -5,13 +5,15 @@
 // These kernels serve a different contract than the float64 ones. The f64
 // kernels are bit-compatibility-bound: training, checkpoints, and the
 // batched scoring path all promise results identical to the naive rolled
-// loop, which forces a single sequential accumulator and leaves every dot
-// product latency-bound on the FP add chain. The serving-path quantized
-// engine only promises bounded error against the f64 reference (the
-// warning decision thresholds a log-probability; it does not need exact
-// bits), so the f32 kernels are free to reorder the summation: wide
-// register blocking on the portable path, 4-wide SSE with four vector
-// accumulators on amd64 (mat32_amd64.s).
+// loop. That fixes the summation order within each output element — one
+// sequential accumulator per element — but not across elements, so the
+// f64 kernels block across output rows and lanes to overlap independent
+// FP-add chains. The serving-path quantized engine only promises bounded
+// error against the f64 reference (the warning decision thresholds a
+// log-probability; it does not need exact bits), so the f32 kernels may
+// also reorder the summation within an element: wide register blocking on
+// the portable path, 4-wide SSE with four vector accumulators on amd64
+// (mat32_amd64.s).
 //
 // What IS promised: one fixed summation schedule per platform, shared by
 // the single-stream and batched kernels. MulMatAdd32 evaluates each lane

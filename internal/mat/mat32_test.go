@@ -270,6 +270,25 @@ func FuzzMulVecAdd32(f *testing.F) {
 	})
 }
 
+// FuzzMulVecAdd64 is the differential fuzz of the f64 kernels against the
+// rolled reference: on fuzz-chosen shapes, lane counts and value scales
+// (wide enough to reach overflow, Inf−Inf NaNs and subnormals), MulVecAdd
+// and MulMatAdd must match it bit for bit.
+func FuzzMulVecAdd64(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint8(4), uint8(1), float64(1))
+	f.Add(int64(2), uint8(130), uint8(33), uint8(3), float64(1))
+	f.Add(int64(3), uint8(7), uint8(5), uint8(9), float64(1e-310))
+	f.Add(int64(4), uint8(80), uint8(32), uint8(2), float64(1e200))
+	f.Fuzz(func(t *testing.T, seed int64, r8, c8, b8 uint8, scale float64) {
+		rows, cols, lanes := 1+int(r8)%160, 1+int(c8)%128, 1+int(b8)%9
+		if math.IsNaN(scale) || math.IsInf(scale, 0) || scale == 0 {
+			scale = 1
+		}
+		checkRolledBits(t, rand.New(rand.NewSource(seed)), rows, cols, lanes,
+			func(rng *rand.Rand) float64 { return scale * rng.NormFloat64() })
+	})
+}
+
 // FuzzQuantI8 fuzzes the int8 pipeline end to end: round-trip bound on the
 // weights and the matvec error envelope against the f64 reference.
 func FuzzQuantI8(f *testing.F) {

@@ -495,6 +495,18 @@ func BenchmarkStepLogProbs(b *testing.B) {
 	}
 }
 
+// BenchmarkStepLogProbsDefault is the f64 step at the serving model's
+// shape (detect.DefaultLSTMConfig: vocab 80 + gap, two 32-unit layers).
+func BenchmarkStepLogProbsDefault(b *testing.B) {
+	m := NewSequenceModel(SeqModelConfig{Vocab: 80, Hidden: []int{32, 32}, UseGap: true, Seed: 1})
+	st := m.NewStreamState()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.StepLogProbs(Token{ID: i % 80, Gap: 5}, st)
+	}
+}
+
 // Identical seeds must produce bit-identical models and training runs.
 func TestSequenceModelDeterminism(t *testing.T) {
 	mk := func() float64 {

@@ -308,9 +308,15 @@ func TestHeartbeatAge(t *testing.T) {
 	if age := hb.Age(now); age != 3*time.Second {
 		t.Fatalf("age = %v, want 3s", age)
 	}
-	hb.Beat()
+	hb.BeatAt(time.Now())
 	if age := hb.Age(time.Now()); age > time.Minute {
 		t.Fatalf("fresh beat reads stale: %v", age)
+	}
+	// Beats at one frozen instant still count as progress.
+	hb.BeatAt(now)
+	hb.BeatAt(now)
+	if n := hb.Count(); n != 4 {
+		t.Fatalf("count = %d after 4 beats", n)
 	}
 }
 

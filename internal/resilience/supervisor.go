@@ -8,22 +8,25 @@ import (
 )
 
 // Heartbeat is a lock-free liveness stamp a worker beats on every unit of
-// progress and a watchdog reads to detect a wedged worker. The zero value
-// reads as "never beat".
+// progress and a watchdog reads to detect a wedged worker. It keeps two
+// things: when the last beat was (for the age check) and how many beats
+// there have been (for the progress check, which no clock jump can fake or
+// hide). The zero value reads as "never beat".
 type Heartbeat struct {
 	ns atomic.Int64
+	n  atomic.Uint64
 }
 
-// Beat stamps the heartbeat with the current time.
-func (h *Heartbeat) Beat() { h.ns.Store(time.Now().UnixNano()) }
+// BeatAt stamps the heartbeat with the time t on the worker's clock.
+func (h *Heartbeat) BeatAt(t time.Time) {
+	h.ns.Store(t.UnixNano())
+	h.n.Add(1)
+}
 
-// BeatAt stamps the heartbeat with an explicit time (tests, replay).
-func (h *Heartbeat) BeatAt(t time.Time) { h.ns.Store(t.UnixNano()) }
-
-// Load returns the raw beat stamp (nanoseconds since the epoch; 0 means
-// never beat) — watchdogs compare stamps across ticks to distinguish a
-// stalled worker from an idle one.
-func (h *Heartbeat) Load() int64 { return h.ns.Load() }
+// Count returns how many times the heartbeat has beaten (0 means never) —
+// watchdogs compare counts across ticks to tell a stalled worker from a
+// progressing one.
+func (h *Heartbeat) Count() uint64 { return h.n.Load() }
 
 // Age returns how long ago the last beat was, relative to now. A heartbeat
 // that never beat reports a very large age — an unstarted worker with
